@@ -3,14 +3,12 @@
 //! due in part to a few extra instructions, and possibly also to overhead
 //! of OpenMP."
 //!
-//! Measured here as: Merge Path with 1 thread (including its partition
-//! search and fork-join scaffolding, both the scoped-thread and the
-//! persistent-pool backends) versus an independently implemented textbook
+//! Measured here as: Merge Path with 1 thread (including its entry checks
+//! and dispatch scaffolding) versus an independently implemented textbook
 //! sequential merge.
 //!
 //! Run: `cargo run --release -p mergepath-bench --bin t1_overhead [--full|--smoke]`
 
-use mergepath::executor::Pool;
 use mergepath::merge::parallel::parallel_merge_into;
 use mergepath_baselines::sequential::textbook_merge_into;
 use mergepath_bench::{mega_label, time_best, Scale, Table};
@@ -25,28 +23,17 @@ fn main() {
     };
     let reps = scale.reps().max(3);
     println!("=== T1: single-thread Merge Path vs truly sequential merge ===\n");
-    let mut t = Table::new(&[
-        "size",
-        "seq (s)",
-        "mergepath p=1 (s)",
-        "overhead",
-        "pooled p=1 (s)",
-        "overhead",
-    ]);
-    let pool = Pool::new(1);
+    let mut t = Table::new(&["size", "seq (s)", "mergepath p=1 (s)", "overhead"]);
     for &n in &sizes {
         let (a, b) = merge_pair(MergeWorkload::Uniform, n, 0x71);
         let mut out = vec![0u32; 2 * n];
         let t_seq = time_best(reps, || textbook_merge_into(&a, &b, &mut out));
         let t_mp = time_best(reps, || parallel_merge_into(&a, &b, &mut out, 1));
-        let t_pool = time_best(reps, || pool.merge_into(&a, &b, &mut out));
         t.row(&[
             mega_label(n),
             format!("{t_seq:.4}"),
             format!("{t_mp:.4}"),
             format!("{:+.1}%", (t_mp / t_seq - 1.0) * 100.0),
-            format!("{t_pool:.4}"),
-            format!("{:+.1}%", (t_pool / t_seq - 1.0) * 100.0),
         ]);
     }
     println!("{}", t.render());

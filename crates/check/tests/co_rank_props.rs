@@ -8,10 +8,10 @@
 //!    and the binary co-rank search finds it. Uniqueness is the whole
 //!    argument: independently computed block boundaries cannot disagree,
 //!    so stability composes across workers without coordination.
-//! 2. **Exact balance** — `exact_boundary` hands every non-tail worker
-//!    exactly `⌈(m + n) / p⌉` output ranks for arbitrary `(m, n, p)`; the
-//!    tail takes the remainder. This is the Siebert–Träff refinement over
-//!    the ⌊k·n/p⌋ schedule, and the invariant `mp bench` gates on.
+//! 2. **Balance** — Algorithm 1's `⌊k·(m+n)/p⌋` cuts hand every worker
+//!    at most `⌈(m + n) / p⌉` output ranks for arbitrary `(m, n, p)`,
+//!    including `p > m + n`, and the workers' ranks sum to `m + n`: the
+//!    Thm 14 bound `mp bench` gates on, read from the recorded run.
 //! 3. **Tie runs straddling block cuts** — inputs whose tie-run length
 //!    sits exactly at, one short of, and one past the kernel's 256-rank
 //!    block granularity merge byte-identically to the sequential stable
@@ -21,10 +21,11 @@
 use std::cmp::Ordering;
 
 use mergepath::diagonal::{co_rank_by, split_is_valid};
+use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
+use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
 use mergepath::merge::sequential::merge_into_by;
-use mergepath::merge::stable::{
-    co_rank_merge_into_by, exact_boundary, stable_parallel_merge_into_by, CO_RANK_BLOCK,
-};
+use mergepath::merge::stable::{co_rank_merge_into_by, CO_RANK_BLOCK};
+use mergepath::telemetry::TimelineRecorder;
 
 use proptest::prelude::*;
 
@@ -87,30 +88,30 @@ proptest! {
     }
 
     #[test]
-    fn exact_boundaries_give_every_non_tail_worker_exactly_the_ceiling(
+    fn algorithm_1_workers_never_exceed_the_ceiling(
         m in 0usize..5000,
         n in 0usize..5000,
         p in 1usize..64,
+        // One case in four shrinks the inputs below 16 elements, so
+        // `p > m + n` comes up often.
+        shape in 0u8..4,
     ) {
+        let (m, n) = if shape == 0 { (m % 8, n % 8) } else { (m, n) };
+        let a: Vec<u32> = (0..m as u32).map(|x| x * 2).collect();
+        let b: Vec<u32> = (0..n as u32).map(|x| x * 3).collect();
         let total = m + n;
-        let share = total.div_ceil(p);
-        prop_assert_eq!(exact_boundary(total, p, 0), 0);
-        prop_assert_eq!(exact_boundary(total, p, p), total);
-        let mut covered = 0usize;
-        for k in 0..p {
-            let lo = exact_boundary(total, p, k);
-            let hi = exact_boundary(total, p, k + 1);
-            prop_assert!(lo <= hi, "monotone at k={}", k);
-            let size = hi - lo;
-            prop_assert!(size <= share, "no worker exceeds ⌈(m+n)/p⌉ at k={}", k);
-            if hi < total {
-                // Every worker before the capped tail gets exactly the
-                // ceiling — this is what makes imbalance ≤ 1 + p/n.
-                prop_assert_eq!(size, share, "non-tail worker {} must be exact", k);
-            }
-            covered += size;
+        let mut out = vec![0u32; total];
+        let rec = TimelineRecorder::new();
+        parallel_merge_into_recorded(&a, &b, &mut out, p, &|x: &u32, y: &u32| x.cmp(y), &rec);
+        let report = rec.finish().load_balance(total as u64, p);
+        let share = total.div_ceil(p) as u64;
+        for w in &report.per_worker_items {
+            prop_assert!(w.items <= share, "worker {} has {} > ⌈(m+n)/p⌉ = {}", w.worker, w.items, share);
         }
-        prop_assert_eq!(covered, total);
+        let sum: u64 = report.per_worker_items.iter().map(|w| w.items).sum();
+        prop_assert_eq!(sum, total as u64);
+        prop_assert!(report.thm14_exact, "{:?}", report);
+        prop_assert!(out.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -131,10 +132,13 @@ proptest! {
         let mut out = vec![(0, 0); ta.len() + tb.len()];
         co_rank_merge_into_by(&ta, &tb, &mut out, &by_key);
         assert_stable_output(&ta, &tb, &out);
-        // The parallel entry layers exact-balance worker cuts on top of the
-        // same block machinery; the composition must stay stable too.
+        // Algorithm 1 with every segment pinned to the co-rank kernel
+        // layers worker cuts on top of the same block machinery; the
+        // composition must stay stable too.
         let mut par = vec![(0, 0); out.len()];
-        stable_parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key);
+        with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
+            parallel_merge_into_by(&ta, &tb, &mut par, threads, &by_key)
+        });
         prop_assert_eq!(par, out);
     }
 }

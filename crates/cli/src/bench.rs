@@ -26,7 +26,6 @@ use std::time::Instant;
 use mergepath::merge::adaptive::{with_dispatch_policy, DispatchPolicy, SegmentKernel};
 use mergepath::merge::parallel::{parallel_merge_into_by, parallel_merge_into_recorded};
 use mergepath::merge::simd::{natural_cmp, simd_enabled};
-use mergepath::merge::stable::stable_parallel_merge_into_recorded;
 use mergepath::sort::parallel::{parallel_merge_sort_by, parallel_merge_sort_recorded};
 use mergepath::telemetry::artifact::{render_artifact, EnvFingerprint};
 use mergepath::telemetry::{NoRecorder, Telemetry, TimelineRecorder};
@@ -141,7 +140,8 @@ struct FamilyRow {
     /// Items-based worker imbalance (`max_items · p / n`) of a pinned
     /// co-rank traced run. Deterministic — it depends only on cut
     /// arithmetic, never on timing — so `verify-bench` can hard-gate it:
-    /// the exact-balance schedule keeps it within `1 + p/n`.
+    /// Algorithm 1's `⌊k·n/p⌋` cuts give every worker at most `⌈n/p⌉`
+    /// items, which keeps it within `1 + p/n`.
     imbalance_co_rank: f64,
     /// Segments the *pinned* co-rank run routed through the kernel —
     /// proof in the artifact that the co-rank columns measured the real
@@ -163,8 +163,7 @@ fn family_row(
     n: usize,
     cfg: &BenchConfig,
     mut timed: impl FnMut(),
-    traced: impl FnOnce(&TimelineRecorder),
-    co_rank_traced: impl FnOnce(&TimelineRecorder),
+    traced: impl Fn(&TimelineRecorder),
 ) -> FamilyRow {
     let adaptive_ns =
         with_dispatch_policy(DispatchPolicy::Adaptive, || median_ns(cfg.reps, &mut timed));
@@ -187,12 +186,13 @@ fn family_row(
         rec.finish()
     });
     let report = telemetry.load_balance(n as u64, cfg.threads);
-    // The co-rank column's load balance comes from its own traced run so
-    // the exact-balance claim is measured, not inferred. Items per worker
-    // are schedule arithmetic, hence exactly reproducible.
+    // The co-rank column's load balance comes from the same traced run with
+    // every segment pinned to the co-rank kernel, so the balance claim is
+    // measured, not inferred. Items per worker are cut arithmetic, hence
+    // exactly reproducible.
     let co_telemetry = with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
         let rec = TimelineRecorder::new();
-        co_rank_traced(&rec);
+        traced(&rec);
         rec.finish()
     });
     let co_report = co_telemetry.load_balance(n as u64, cfg.threads);
@@ -405,19 +405,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                     let mut traced_out = vec![0u32; cfg.n];
                     parallel_merge_into_recorded(&a, &b, &mut traced_out, cfg.threads, &cmp, rec);
                 },
-                // The co-rank balance row traces the exact-balance entry —
-                // the ⌈n/p⌉ cut schedule is the property being published.
-                |rec| {
-                    let mut traced_out = vec![0u32; cfg.n];
-                    stable_parallel_merge_into_recorded(
-                        &a,
-                        &b,
-                        &mut traced_out,
-                        cfg.threads,
-                        &cmp,
-                        rec,
-                    );
-                },
             )
         })
         .collect();
@@ -436,12 +423,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchArtifacts {
                     let mut w = v.clone();
                     parallel_merge_sort_by(&mut w, cfg.threads, &cmp);
                 },
-                |rec| {
-                    let mut w = v.clone();
-                    parallel_merge_sort_recorded(&mut w, cfg.threads, &cmp, rec);
-                },
-                // Sort has no exact-balance top-level entry; the pinned run
-                // still proves the co-rank segment kernel carried the merges.
                 |rec| {
                     let mut w = v.clone();
                     parallel_merge_sort_recorded(&mut w, cfg.threads, &cmp, rec);
@@ -571,9 +552,9 @@ mod tests {
 
     #[test]
     fn co_rank_imbalance_is_within_the_exact_balance_bound_on_merges() {
-        // The exact-balance cut schedule hands every non-tail worker
-        // exactly ⌈n/p⌉ output ranks, so the items-based imbalance of the
-        // pinned co-rank merge is at most 1 + p/n — far inside the 1.005
+        // Algorithm 1's ⌊k·n/p⌋ cuts hand every worker at most ⌈n/p⌉
+        // output ranks, so the items-based imbalance of the pinned
+        // co-rank merge is at most 1 + p/n — far inside the 1.005
         // gate `cargo xtask verify-bench` enforces on the committed
         // artifact. Deterministic: it is cut arithmetic, not timing.
         let cfg = BenchConfig {

@@ -259,7 +259,7 @@ pub enum CheckDispatch {
     /// tagged `(key, tag)` duplicate-heavy inputs — exactly where stability
     /// is observable — so the checker's oracle comparison proves the
     /// kernel's stable tie break along with CREW exclusivity and the
-    /// `⌈E/s⌉` exact-balance cap.
+    /// Thm 14 `⌈E/s⌉` share cap.
     CoRank,
 }
 

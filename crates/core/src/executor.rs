@@ -4,8 +4,7 @@
 //! executed by a long-lived team of threads rather than freshly spawned
 //! ones. [`Pool`] reproduces that execution model so the per-merge overhead
 //! of `std::thread::spawn` can be separated from the algorithm itself (the
-//! §VI "6% single-thread overhead" experiment, and an ablation in the
-//! benches).
+//! §VI "6% single-thread overhead" experiment).
 //!
 //! # Scheduler design (DESIGN.md §15)
 //!
@@ -55,6 +54,11 @@
 //! same binary.
 //!
 //! # The shared global pool
+//!
+//! The scheduler knows nothing about merges: it runs opaque indexed
+//! shares. Every kernel computes its own cuts and co-ranks inside its
+//! shares (Algorithm 1's share is `merge::parallel::merge_share`), so this
+//! module depends on no kernel module.
 //!
 //! Every parallel kernel in this crate executes its fork-join rounds on a
 //! single process-wide pool obtained from [`global`]. The pool is created
@@ -131,13 +135,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOr
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-use core::cmp::Ordering;
-
 use mergepath_telemetry::{now_ns, CounterKind, Recorder};
-
-use crate::diagonal::co_rank_by;
-use crate::merge::sequential::merge_into_by;
-use crate::partition::segment_boundary;
 
 /// Locks a mutex, ignoring poison. The scheduler never holds any of its
 /// locks across job code (jobs run under per-share `catch_unwind`), so a
@@ -1052,55 +1050,6 @@ impl Pool {
             rec.counter_add(0, CounterKind::PoolStolenShares, stats.stolen_shares);
         }
     }
-
-    /// Stable parallel merge executed on this pool (Algorithm 1 with the
-    /// OpenMP-style backend). Semantics are identical to
-    /// [`parallel_merge_into_by`](crate::merge::parallel::parallel_merge_into_by).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != a.len() + b.len()`.
-    pub fn merge_into_by<T, F>(&self, a: &[T], b: &[T], out: &mut [T], cmp: &F)
-    where
-        T: Clone + Send + Sync,
-        F: Fn(&T, &T) -> Ordering + Sync,
-    {
-        let n = a.len() + b.len();
-        assert!(
-            out.len() == n,
-            "output buffer length mismatch: expected {n}, got {}",
-            out.len()
-        );
-        let p = self.threads;
-        if p == 1 || n <= p {
-            note_write_range(out);
-            merge_into_by(a, b, out, cmp);
-            return;
-        }
-        let base = SendPtr(out.as_mut_ptr());
-        self.run(&move |tid| {
-            let d_lo = segment_boundary(n, p, tid);
-            let d_hi = segment_boundary(n, p, tid + 1);
-            let i_lo = co_rank_by(d_lo, a, b, cmp);
-            let i_hi = co_rank_by(d_hi, a, b, cmp);
-            let (sa, sb) = (&a[i_lo..i_hi], &b[d_lo - i_lo..d_hi - i_hi]);
-            note_read_range(sa);
-            note_read_range(sb);
-            // SAFETY: `d_lo..d_hi` ranges are disjoint across tids and lie
-            // within `out` (d_hi <= n == out.len()); the round latch orders
-            // all writes before `merge_into_by` returns to the caller,
-            // which still holds the unique borrow of `out`.
-            let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
-            merge_into_by(sa, sb, chunk, cmp);
-        });
-    }
-
-    /// [`Pool::merge_into_by`] using the natural order.
-    pub fn merge_into<T>(&self, a: &[T], b: &[T], out: &mut [T])
-    where
-        T: Ord + Clone + Send + Sync,
-    {
-        self.merge_into_by(a, b, out, &|x: &T, y: &T| x.cmp(y));
-    }
 }
 
 impl Drop for Pool {
@@ -1192,6 +1141,28 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// A round shaped like a kernel's: share `k` of `shares` writes its
+    /// `⌊k·n/shares⌋` slice of `out` through a [`SendPtr`], so a lost,
+    /// doubled or misplaced share shows up in the output.
+    fn fill_round(pool: &Pool, out: &mut [u64], shares: usize) {
+        let n = out.len();
+        let base = SendPtr::new(out.as_mut_ptr());
+        pool.run_indexed(shares, &|k| {
+            let (lo, hi) = (k * n / shares, (k + 1) * n / shares);
+            // SAFETY: the `lo..hi` ranges are disjoint across shares and lie
+            // within `out`; the round latch orders the writes before
+            // `run_indexed` returns to the frame holding `out`.
+            let chunk = unsafe { base.slice_mut(lo, hi - lo) };
+            for (i, x) in chunk.iter_mut().enumerate() {
+                *x = (lo + i) as u64 * 3 + 1;
+            }
+        });
+    }
+
+    fn filled(n: usize) -> Vec<u64> {
+        (0..n as u64).map(|i| i * 3 + 1).collect()
+    }
+
     #[test]
     fn runs_every_tid_exactly_once() {
         let pool = Pool::new(4);
@@ -1245,29 +1216,23 @@ mod tests {
     }
 
     #[test]
-    fn pooled_merge_matches_sequential() {
+    fn pooled_round_fills_disjoint_ranges() {
         let pool = Pool::new(4);
-        let a: Vec<i64> = (0..5000).map(|x| x * 2).collect();
-        let b: Vec<i64> = (0..4000).map(|x| x * 3 + 1).collect();
-        let mut expect = vec![0i64; 9000];
-        merge_into_by(&a, &b, &mut expect, &|x, y| x.cmp(y));
-        let mut out = vec![0i64; 9000];
-        pool.merge_into(&a, &b, &mut out);
-        assert_eq!(out, expect);
-        // Reuse the pool for a second merge.
-        let mut out2 = vec![0i64; 9000];
-        pool.merge_into(&a, &b, &mut out2);
-        assert_eq!(out2, expect);
+        let mut out = vec![0u64; 9000];
+        fill_round(&pool, &mut out, 4);
+        assert_eq!(out, filled(9000));
+        // Reuse the pool for a second round.
+        let mut out2 = vec![0u64; 9000];
+        fill_round(&pool, &mut out2, 4);
+        assert_eq!(out2, filled(9000));
     }
 
     #[test]
-    fn pooled_merge_tiny_inputs_fall_back() {
+    fn pooled_round_with_more_shares_than_items() {
         let pool = Pool::new(8);
-        let a = [1i64, 3];
-        let b = [2i64];
-        let mut out = [0i64; 3];
-        pool.merge_into(&a, &b, &mut out);
-        assert_eq!(out, [1, 2, 3]);
+        let mut out = [0u64; 3];
+        fill_round(&pool, &mut out, 8);
+        assert_eq!(out[..], filled(3)[..]);
     }
 
     #[test]
@@ -1413,22 +1378,18 @@ mod tests {
     }
 
     #[test]
-    fn nested_merge_inside_share_is_correct() {
-        // A share invoking a full parallel kernel (which itself calls
-        // run_indexed on the global pool) must fall back to inline
+    fn nested_round_inside_share_is_correct() {
+        // A share submitting a full round to the global pool (as a kernel
+        // called from inside a share does) must fall back to inline
         // execution and still produce correct output.
         let pool = Pool::new(3);
-        let a: Vec<i64> = (0..500).map(|x| x * 2).collect();
-        let b: Vec<i64> = (0..500).map(|x| x * 2 + 1).collect();
-        let mut expect = vec![0i64; 1000];
-        merge_into_by(&a, &b, &mut expect, &|x, y| x.cmp(y));
-        let outputs: Vec<Mutex<Vec<i64>>> = (0..3).map(|_| Mutex::new(vec![0i64; 1000])).collect();
+        let outputs: Vec<Mutex<Vec<u64>>> = (0..3).map(|_| Mutex::new(vec![0u64; 1000])).collect();
         pool.run(&|tid| {
             let mut out = outputs[tid].lock().expect("test mutex");
-            super::global().merge_into_by(&a, &b, &mut out, &|x, y| x.cmp(y));
+            fill_round(super::global(), &mut out, 3);
         });
         for o in &outputs {
-            assert_eq!(*o.lock().expect("test mutex"), expect);
+            assert_eq!(*o.lock().expect("test mutex"), filled(1000));
         }
     }
 
@@ -1671,14 +1632,10 @@ mod tests {
     #[test]
     fn stress_alternating_jobs() {
         let pool = Pool::new(4);
-        let a: Vec<i64> = (0..256).collect();
-        let b: Vec<i64> = (0..256).map(|x| x + 128).collect();
-        let mut expect = vec![0i64; 512];
-        merge_into_by(&a, &b, &mut expect, &|x, y| x.cmp(y));
         for _ in 0..50 {
-            let mut out = vec![0i64; 512];
-            pool.merge_into(&a, &b, &mut out);
-            assert_eq!(out, expect);
+            let mut out = vec![0u64; 512];
+            fill_round(&pool, &mut out, 4);
+            assert_eq!(out, filled(512));
             let touched = AtomicUsize::new(0);
             pool.run(&|_| {
                 touched.fetch_add(1, AtomicOrdering::Relaxed);

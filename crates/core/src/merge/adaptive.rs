@@ -31,7 +31,7 @@ use core::cmp::Ordering;
 use core::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 
-use mergepath_telemetry::{counted_cmp, CounterKind, Recorder};
+use mergepath_telemetry::{counted_cmp, CounterKind};
 
 use super::sequential::{branch_lean_merge_into_by, galloping_merge_into_by, merge_into_by};
 use super::simd::{natural_order_eligible, simd_eligible, simd_merge_into_by, LANES};
@@ -164,13 +164,6 @@ pub fn dispatch_policy() -> DispatchPolicy {
     decode(POLICY.load(AtomicOrdering::Relaxed))
 }
 
-/// Sets the process-wide dispatch policy. Prefer the scoped
-/// [`with_dispatch_policy`] in tests and benches so concurrent sweeps
-/// serialize and the previous policy is always restored.
-pub fn set_dispatch_policy(policy: DispatchPolicy) {
-    POLICY.store(encode(policy), AtomicOrdering::Relaxed);
-}
-
 /// Runs `f` with the dispatch policy forced to `policy`, restoring the
 /// previous policy afterwards (also on panic). Callers are serialized by a
 /// global mutex, so concurrent test threads sweeping different policies do
@@ -286,7 +279,7 @@ where
 
 /// Stable merge of one segment through the kernel chosen by
 /// [`choose_kernel`]; returns the choice so instrumented callers can
-/// attribute it ([`record_choice`]).
+/// attribute it ([`SegmentKernel::counter`]).
 ///
 /// Output is byte-identical to [`merge_into_by`] for every choice.
 ///
@@ -346,15 +339,6 @@ where
         SegmentKernel::CoRank => co_rank_merge_into_by(a, b, out, &counted_cmp(cmp, hits)),
     }
     kernel
-}
-
-/// Bumps `kernel`'s "segments won" counter for `worker` on `rec`; a no-op
-/// (compiled away) under [`NoRecorder`](mergepath_telemetry::NoRecorder).
-#[inline(always)]
-pub fn record_choice<R: Recorder>(rec: &R, worker: usize, kernel: SegmentKernel) {
-    if R::ACTIVE {
-        rec.counter_add(worker, kernel.counter(), 1);
-    }
 }
 
 #[cfg(test)]

@@ -12,14 +12,12 @@
 //!
 //! [`crate::sort::parallel`] uses this as its round primitive.
 
-use core::cell::Cell;
 use core::cmp::Ordering;
 
-use mergepath_telemetry::{span, CounterKind, NoRecorder, Recorder, SpanKind};
+use mergepath_telemetry::{NoRecorder, Recorder};
 
-use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
+use crate::merge::parallel::{merge_segment, merge_share};
 use crate::merge::simd::natural_cmp;
 use crate::partition::segment_boundary;
 
@@ -141,22 +139,11 @@ pub fn batch_merge_into_recorded<T, F, R>(
     let p = threads.min(total);
     if p == 1 {
         executor::note_write_range(out);
+        for ((a, b), w) in pairs.iter().zip(offsets.windows(2)) {
+            merge_segment(a, b, &mut out[w[0]..w[1]], cmp, rec, 0);
+        }
         if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                for ((a, b), w) in pairs.iter().zip(offsets.windows(2)) {
-                    let kernel =
-                        adaptive_merge_into_counted(a, b, &mut out[w[0]..w[1]], cmp, &hits);
-                    adaptive::record_choice(rec, 0, kernel);
-                }
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
             rec.worker_items(0, total as u64);
-        } else {
-            for ((a, b), w) in pairs.iter().zip(offsets.windows(2)) {
-                adaptive_merge_into_by(a, b, &mut out[w[0]..w[1]], cmp);
-            }
         }
         return;
     }
@@ -164,63 +151,30 @@ pub fn batch_merge_into_recorded<T, F, R>(
     let base = SendPtr::new(out.as_mut_ptr());
     let offsets = &offsets;
     executor::global().run_indexed_recorded(p, rec, &|k| {
-        // Pairs overlapping [g_lo, g_hi): binary search the first.
+        // Pairs overlapping [g_lo, g_hi): binary search the first, then
+        // run one Algorithm 1 share per pair fragment, in the pair's own
+        // output coordinates.
         let (g_lo, g_hi, mut pi) = worker_cut(offsets, total, p, k);
-        // SAFETY: `g_lo..g_hi` ranges are disjoint across shares and tile
-        // `out` exactly (`g_hi <= total == out.len()`); the pool's end
-        // barrier orders the writes before this frame resumes.
-        let chunk = unsafe { base.slice_mut(g_lo, g_hi - g_lo) };
-        let mut chunk_pos = 0usize;
         while pi < pairs.len() && offsets[pi] < g_hi {
             let (a, b) = pairs[pi];
-            // This worker's sub-range of pair pi's output.
-            let lo = g_lo.max(offsets[pi]) - offsets[pi];
-            let hi = g_hi.min(offsets[pi + 1]) - offsets[pi];
-            let (i_lo, i_hi) = if R::ACTIVE {
-                let _partition = span(rec, k, SpanKind::Partition);
-                let (i_lo, c_lo) = {
-                    let _search = span(rec, k, SpanKind::DiagonalSearch);
-                    co_rank_counted(lo, a, b, cmp)
-                };
-                let (i_hi, c_hi) = {
-                    let _search = span(rec, k, SpanKind::DiagonalSearch);
-                    co_rank_counted(hi, a, b, cmp)
-                };
-                let probes = (c_lo + c_hi) as u64;
-                rec.counter_add(k, CounterKind::DiagonalProbeSteps, probes);
-                rec.counter_add(k, CounterKind::Comparisons, probes);
-                (i_lo, i_hi)
-            } else {
-                (co_rank_by(lo, a, b, cmp), co_rank_by(hi, a, b, cmp))
-            };
-            let len = hi - lo;
-            let (sa, sb) = (&a[i_lo..i_hi], &b[lo - i_lo..hi - i_hi]);
-            executor::note_read_range(sa);
-            executor::note_read_range(sb);
-            if R::ACTIVE {
-                let hits = Cell::new(0u64);
-                let kernel = {
-                    let _merge = span(rec, k, SpanKind::SegmentMerge);
-                    adaptive_merge_into_counted(
-                        sa,
-                        sb,
-                        &mut chunk[chunk_pos..chunk_pos + len],
-                        cmp,
-                        &hits,
-                    )
-                };
-                adaptive::record_choice(rec, k, kernel);
-                rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            } else {
-                adaptive_merge_into_by(sa, sb, &mut chunk[chunk_pos..chunk_pos + len], cmp);
+            let cut = (
+                g_lo.max(offsets[pi]) - offsets[pi],
+                g_hi.min(offsets[pi + 1]) - offsets[pi],
+            );
+            // SAFETY: pair `pi`'s output is `offsets[pi]..offsets[pi + 1]`
+            // within `out`, and this worker owns the fragment `cut` of it:
+            // the `g_lo..g_hi` ranges are disjoint across shares and tile
+            // `out` exactly (`g_hi <= total == out.len()`). The pool's end
+            // barrier orders the writes before this frame resumes.
+            unsafe {
+                let pair_out = SendPtr::new(base.get().add(offsets[pi]));
+                merge_share(a, b, &pair_out, cut, cmp, rec, k);
             }
-            chunk_pos += len;
             pi += 1;
         }
         if R::ACTIVE {
             rec.worker_items(k, (g_hi - g_lo) as u64);
         }
-        debug_assert_eq!(chunk_pos, chunk.len());
     });
 }
 

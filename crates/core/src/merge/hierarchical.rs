@@ -32,7 +32,7 @@ use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, 
 use crate::diagonal::co_rank_by;
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
+use crate::merge::parallel::merge_segment;
 use crate::merge::simd::natural_cmp;
 use crate::partition::{partition_points_by, segment_boundary};
 
@@ -243,9 +243,9 @@ fn merge_block_tiled<T, F, R>(
         for lane in 0..active {
             let d_lo = segment_boundary(step, active, lane);
             let d_hi = segment_boundary(step, active, lane + 1);
-            if R::ACTIVE {
+            let (l_lo, l_hi) = if R::ACTIVE {
                 let probes = Cell::new(0u64);
-                let (l_lo, l_hi) = {
+                let lane_cut = {
                     let _partition = span(rec, blk, SpanKind::Partition);
                     let counting = counted_cmp(cmp, &probes);
                     (
@@ -255,33 +255,21 @@ fn merge_block_tiled<T, F, R>(
                 };
                 rec.counter_add(blk, CounterKind::DiagonalProbeSteps, probes.get());
                 rec.counter_add(blk, CounterKind::Comparisons, probes.get());
-                let hits = Cell::new(0u64);
-                // Lane pieces are tile-sized at most, so the run-structure
-                // probe usually settles on the classic kernel; the dispatch
-                // still goes through it so fixed-policy sweeps cover this
-                // path too.
-                let kernel = {
-                    let _merge = span(rec, blk, SpanKind::SegmentMerge);
-                    adaptive_merge_into_counted(
-                        &sa[l_lo..l_hi],
-                        &sb[d_lo - l_lo..d_hi - l_hi],
-                        &mut out[oi + d_lo..oi + d_hi],
-                        cmp,
-                        &hits,
-                    )
-                };
-                adaptive::record_choice(rec, blk, kernel);
-                rec.counter_add(blk, CounterKind::Comparisons, hits.get());
+                lane_cut
             } else {
-                let l_lo = co_rank_by(d_lo, sa, sb, cmp);
-                let l_hi = co_rank_by(d_hi, sa, sb, cmp);
-                adaptive_merge_into_by(
-                    &sa[l_lo..l_hi],
-                    &sb[d_lo - l_lo..d_hi - l_hi],
-                    &mut out[oi + d_lo..oi + d_hi],
-                    cmp,
-                );
-            }
+                (co_rank_by(d_lo, sa, sb, cmp), co_rank_by(d_hi, sa, sb, cmp))
+            };
+            // Lane pieces are tile-sized at most, so the run-structure probe
+            // usually settles on the classic kernel; the dispatch still goes
+            // through it so fixed-policy sweeps cover this path too.
+            merge_segment(
+                &sa[l_lo..l_hi],
+                &sb[d_lo - l_lo..d_hi - l_hi],
+                &mut out[oi + d_lo..oi + d_hi],
+                cmp,
+                rec,
+                blk,
+            );
         }
         ai += ta;
         bi += tb;

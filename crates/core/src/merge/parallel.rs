@@ -21,8 +21,15 @@
 //! §VI: `threads` is the *logical* processor count `p` of the algorithm
 //! (the number of Merge Path segments), scheduled as `p` shares over the
 //! pool. Output is bitwise identical regardless of the pool's physical
-//! size. [`Pool::merge_into_by`](crate::executor::Pool::merge_into_by)
-//! offers the same kernel pinned to an explicitly constructed pool.
+//! size.
+//!
+//! One share of the algorithm is [`merge_share`]: the batched round
+//! ([`crate::merge::batch`]) and the segmented merge's windows
+//! ([`crate::merge::segmented`]) run the same routine, and every segment
+//! merge goes through [`merge_segment`]'s traced/untraced fork. The cuts
+//! `⌊k·n/p⌋` hand every share at most `⌈n/p⌉` outputs (Thm 14); stability
+//! comes from the tie rule of the co-rank search, whichever segment kernel
+//! merges the share.
 
 use core::cell::Cell;
 use core::cmp::Ordering;
@@ -32,11 +39,9 @@ use mergepath_telemetry::{span, CounterKind, NoRecorder, Recorder, SpanKind};
 use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
-use crate::merge::sequential::merge_into_by;
+use crate::merge::adaptive::{adaptive_merge_into_by, adaptive_merge_into_counted};
 use crate::merge::simd::natural_cmp;
 use crate::partition::segment_boundary;
-use crate::stats::MergeStats;
 
 /// Stable parallel merge of `a` and `b` into `out` with `threads` workers,
 /// using the natural order of `T`.
@@ -100,87 +105,125 @@ pub fn parallel_merge_into_recorded<T, F, R>(
     );
     assert!(threads > 0, "thread count must be at least 1");
 
-    // Small inputs or a single worker: sequential merge, no fork overhead.
-    if threads == 1 || n <= threads {
+    // Never more shares than outputs, so every share holds at least one
+    // (Thm 14's ⌈n/p⌉ cap then also holds when `threads > n`). A single
+    // share runs inline: a sequential merge, no fork overhead.
+    let p = threads.min(n);
+    if p <= 1 {
         executor::note_write_range(out);
+        merge_segment(a, b, out, cmp, rec, 0);
         if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _span = span(rec, 0, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(a, b, out, cmp, &hits)
-            };
-            adaptive::record_choice(rec, 0, kernel);
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
             rec.worker_items(0, n as u64);
-        } else {
-            adaptive_merge_into_by(a, b, out, cmp);
         }
         return;
     }
 
     let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(threads, rec, &|k| {
-        let d_lo = segment_boundary(n, threads, k);
-        #[cfg(not(mergepath_mutate))]
-        let d_hi = segment_boundary(n, threads, k + 1);
-        // Injected partition-boundary fault for the mutation self-test
-        // (`cargo xtask verify-schedules` builds with
-        // `--cfg mergepath_mutate`): share 0's upper cut is off by one, so
-        // its write range overlaps share 1's first element — exactly the
-        // bug class Thm 9 rules out, which the CREW checker must report.
-        #[cfg(mergepath_mutate)]
-        let d_hi = {
-            let d = segment_boundary(n, threads, k + 1);
-            if k == 0 && d < n {
-                d + 1
-            } else {
-                d
-            }
-        };
-        // Step 2 of Algorithm 1: each worker finds its own intersections,
-        // independently of every other worker.
-        let (i_lo, i_hi) = if R::ACTIVE {
-            let _partition = span(rec, k, SpanKind::Partition);
-            let (i_lo, c_lo) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_lo, a, b, cmp)
-            };
-            let (i_hi, c_hi) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_hi, a, b, cmp)
-            };
-            let probes = (c_lo + c_hi) as u64;
-            rec.counter_add(k, CounterKind::DiagonalProbeSteps, probes);
-            rec.counter_add(k, CounterKind::Comparisons, probes);
-            (i_lo, i_hi)
-        } else {
-            (co_rank_by(d_lo, a, b, cmp), co_rank_by(d_hi, a, b, cmp))
-        };
-        let (j_lo, j_hi) = (d_lo - i_lo, d_hi - i_hi);
-        let (sa, sb) = (&a[i_lo..i_hi], &b[j_lo..j_hi]);
-        executor::note_read_range(sa);
-        executor::note_read_range(sb);
-        // SAFETY: segment boundaries are monotone, so `d_lo..d_hi` ranges
-        // are pairwise disjoint across shares and lie within `out`
-        // (`d_hi <= n == out.len()`); the pool's end barrier orders all
-        // writes before `run_indexed` returns to this frame, which still
-        // holds the unique borrow of `out`.
-        let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
-        // Step 3: a sequential merge of the private segment, routed to the
-        // kernel the run-structure probe picks for this segment.
+    executor::global().run_indexed_recorded(p, rec, &|k| {
+        // Step 1 of Algorithm 1: the share's cut diagonals.
+        let cut = (segment_boundary(n, p, k), segment_boundary(n, p, k + 1));
+        // SAFETY: segment boundaries are monotone, so the `cut` ranges are
+        // pairwise disjoint across shares and lie within `out`
+        // (`cut.1 <= n == out.len()`); the pool's end barrier orders all
+        // writes before `run_indexed_recorded` returns to this frame, which
+        // still holds the unique borrow of `out`.
+        unsafe { merge_share(a, b, &base, cut, cmp, rec, k) };
         if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _merge = span(rec, k, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(sa, sb, chunk, cmp, &hits)
-            };
-            adaptive::record_choice(rec, k, kernel);
-            rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            rec.worker_items(k, (d_hi - d_lo) as u64);
-        } else {
-            adaptive_merge_into_by(sa, sb, chunk, cmp);
+            rec.worker_items(k, (cut.1 - cut.0) as u64);
         }
     });
+}
+
+/// One share of Algorithm 1: merges output ranks `d_lo..d_hi` of the
+/// stable merge of `a` and `b` into the same ranks of the buffer at `out`.
+///
+/// Step 2 co-ranks both cut diagonals ([`co_rank_by`]; traced, each search
+/// is a `DiagonalSearch` span inside one `Partition` span, and its probes
+/// count into `DiagonalProbeSteps` and `Comparisons` on `worker`). Step 3
+/// reports the two read ranges and merges the private segment through
+/// [`merge_segment`]. The share needs nothing from any other share.
+///
+/// # Safety
+/// `out` must point to a live buffer of `a.len() + b.len()` elements, and
+/// no other reference may touch its ranks `d_lo..d_hi` (with
+/// `d_lo <= d_hi <= a.len() + b.len()`) until this call returns.
+pub(crate) unsafe fn merge_share<T, F, R>(
+    a: &[T],
+    b: &[T],
+    out: &SendPtr<T>,
+    (d_lo, d_hi): (usize, usize),
+    cmp: &F,
+    rec: &R,
+    worker: usize,
+) where
+    T: Clone,
+    F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
+{
+    // Injected partition-boundary fault for the mutation self-test
+    // (`cargo xtask verify-schedules` builds with `--cfg mergepath_mutate`):
+    // worker 0's upper cut is off by one, so its write range overlaps the
+    // next share's first element — exactly the bug class Thm 9 rules out,
+    // which the CREW checker must report.
+    #[cfg(mergepath_mutate)]
+    let d_hi = if worker == 0 && d_hi < a.len() + b.len() {
+        d_hi + 1
+    } else {
+        d_hi
+    };
+    let (i_lo, i_hi) = if R::ACTIVE {
+        let _partition = span(rec, worker, SpanKind::Partition);
+        let (i_lo, c_lo) = {
+            let _search = span(rec, worker, SpanKind::DiagonalSearch);
+            co_rank_counted(d_lo, a, b, cmp)
+        };
+        let (i_hi, c_hi) = {
+            let _search = span(rec, worker, SpanKind::DiagonalSearch);
+            co_rank_counted(d_hi, a, b, cmp)
+        };
+        let probes = (c_lo + c_hi) as u64;
+        rec.counter_add(worker, CounterKind::DiagonalProbeSteps, probes);
+        rec.counter_add(worker, CounterKind::Comparisons, probes);
+        (i_lo, i_hi)
+    } else {
+        (co_rank_by(d_lo, a, b, cmp), co_rank_by(d_hi, a, b, cmp))
+    };
+    let (sa, sb) = (&a[i_lo..i_hi], &b[d_lo - i_lo..d_hi - i_hi]);
+    executor::note_read_range(sa);
+    executor::note_read_range(sb);
+    // SAFETY: `d_lo..d_hi` lies within the buffer and is exclusive to this
+    // call, per this function's contract.
+    let chunk = unsafe { out.slice_mut(d_lo, d_hi - d_lo) };
+    merge_segment(sa, sb, chunk, cmp, rec, worker);
+}
+
+/// Merges one segment through the adaptive kernel
+/// ([`adaptive_merge_into_by`]). Traced, the merge runs inside a
+/// `SegmentMerge` span on `worker` with a counted comparator, and the
+/// kernel choice and comparison count are attributed to `worker`.
+pub(crate) fn merge_segment<T, F, R>(
+    a: &[T],
+    b: &[T],
+    out: &mut [T],
+    cmp: &F,
+    rec: &R,
+    worker: usize,
+) where
+    T: Clone,
+    F: Fn(&T, &T) -> Ordering,
+    R: Recorder,
+{
+    if R::ACTIVE {
+        let hits = Cell::new(0u64);
+        let kernel = {
+            let _merge = span(rec, worker, SpanKind::SegmentMerge);
+            adaptive_merge_into_counted(a, b, out, cmp, &hits)
+        };
+        rec.counter_add(worker, kernel.counter(), 1);
+        rec.counter_add(worker, CounterKind::Comparisons, hits.get());
+    } else {
+        adaptive_merge_into_by(a, b, out, cmp);
+    }
 }
 
 /// Convenience wrapper that allocates and returns the merged vector.
@@ -218,62 +261,11 @@ where
     Ok(())
 }
 
-/// Instrumented [`parallel_merge_into_by`] that reports per-worker partition
-/// costs and merged-element counts — the observables behind Corollary 7
-/// (perfect balance) and the §III complexity claims.
-pub fn parallel_merge_into_stats<T, F>(
-    a: &[T],
-    b: &[T],
-    out: &mut [T],
-    threads: usize,
-    cmp: &F,
-) -> MergeStats
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = a.len() + b.len();
-    assert!(
-        out.len() == n,
-        "output buffer length mismatch: expected {n}, got {}",
-        out.len()
-    );
-    assert!(threads > 0, "thread count must be at least 1");
-
-    let mut partition_comparisons = vec![0u32; threads];
-    let mut merged_elements = vec![0usize; threads];
-
-    let out_base = SendPtr::new(out.as_mut_ptr());
-    let comp_base = SendPtr::new(partition_comparisons.as_mut_ptr());
-    let elem_base = SendPtr::new(merged_elements.as_mut_ptr());
-    executor::global().run_indexed(threads, &|k| {
-        let d_lo = segment_boundary(n, threads, k);
-        let d_hi = segment_boundary(n, threads, k + 1);
-        let (i_lo, c1) = co_rank_counted(d_lo, a, b, cmp);
-        let (i_hi, c2) = co_rank_counted(d_hi, a, b, cmp);
-        let (j_lo, j_hi) = (d_lo - i_lo, d_hi - i_hi);
-        // SAFETY: share `k` exclusively owns output range `d_lo..d_hi`
-        // (boundaries are monotone, `d_hi <= n == out.len()`) and stats
-        // slot `k` (`k < threads`, each share index occurs once); the
-        // pool's end barrier orders all writes before this frame reads
-        // the vectors again.
-        unsafe {
-            comp_base.write(k, c1 + c2);
-            elem_base.write(k, d_hi - d_lo);
-            let chunk = out_base.slice_mut(d_lo, d_hi - d_lo);
-            merge_into_by(&a[i_lo..i_hi], &b[j_lo..j_hi], chunk, cmp);
-        }
-    });
-
-    MergeStats {
-        partition_comparisons,
-        merged_elements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::sequential::merge_into_by;
+    use mergepath_telemetry::{Telemetry, TimelineRecorder};
     use proptest::prelude::*;
 
     fn sorted(mut v: Vec<i64>) -> Vec<i64> {
@@ -376,20 +368,30 @@ mod tests {
         assert_eq!(ok, [1, 2, 3]);
     }
 
+    /// Traced merge: the output plus what the recorder saw.
+    fn traced(a: &[i64], b: &[i64], threads: usize) -> (Vec<i64>, Telemetry) {
+        let mut out = vec![0; a.len() + b.len()];
+        let rec = TimelineRecorder::new();
+        parallel_merge_into_recorded(a, b, &mut out, threads, &|x, y| x.cmp(y), &rec);
+        (out, rec.finish())
+    }
+
     #[test]
-    fn stats_show_perfect_balance() {
+    fn telemetry_shows_perfect_balance() {
         let a: Vec<i64> = (0..6000).map(|x| x * 2).collect();
         let b: Vec<i64> = (0..6000).map(|x| x * 2 + 1).collect();
-        let mut out = vec![0; 12_000];
-        let stats = parallel_merge_into_stats(&a, &b, &mut out, 8, &|x, y| x.cmp(y));
-        assert_eq!(stats.merged_elements.len(), 8);
-        assert_eq!(stats.merged_elements.iter().sum::<usize>(), 12_000);
+        let (out, telemetry) = traced(&a, &b, 8);
+        let report = telemetry.load_balance(12_000, 8);
+        assert_eq!(report.per_worker_items.len(), 8);
         // Corollary 7: equisized segments.
-        assert!(stats.imbalance() <= 1.0 + 1e-9);
+        assert!(report.thm14_exact);
+        assert_eq!((report.max_items, report.min_items), (1500, 1500));
         // Theorem 14: every partition search is logarithmic.
-        let bound = 2 * ((6000f64).log2().ceil() as u32 + 1);
-        for &c in &stats.partition_comparisons {
-            assert!(c <= bound);
+        let bound = 2 * ((6000f64).log2().ceil() as u64 + 1);
+        for c in &telemetry.counters {
+            if c.kind == CounterKind::DiagonalProbeSteps {
+                assert!(c.total <= bound, "worker {}: {} probes", c.worker, c.total);
+            }
         }
         assert_eq!(out, oracle(&a, &b));
     }
@@ -417,15 +419,17 @@ mod tests {
         }
 
         #[test]
-        fn stats_balance_invariant(
+        fn telemetry_balance_invariant(
             a in proptest::collection::vec(-1000i64..1000, 0..300).prop_map(sorted),
             b in proptest::collection::vec(-1000i64..1000, 0..300).prop_map(sorted),
             threads in 1usize..12,
         ) {
-            let mut out = vec![0; a.len() + b.len()];
-            let stats = parallel_merge_into_stats(&a, &b, &mut out, threads, &|x, y| x.cmp(y));
-            let max = stats.max_merged();
-            let min = stats.min_merged();
+            let (out, telemetry) = traced(&a, &b, threads);
+            let report = telemetry.load_balance(out.len() as u64, threads);
+            prop_assert!(report.thm14_exact);
+            // Workers that got no share merged nothing.
+            let min = if report.per_worker_items.len() < threads { 0 } else { report.min_items };
+            let max = report.max_items;
             prop_assert!(max - min <= 1, "max={} min={}", max, min);
             prop_assert_eq!(out, oracle(&a, &b));
         }

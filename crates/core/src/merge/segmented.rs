@@ -41,10 +41,10 @@ use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, 
 use crate::diagonal::{co_rank_by, co_rank_counted};
 use crate::error::MergeError;
 use crate::executor::{self, SendPtr};
-use crate::merge::adaptive::{self, adaptive_merge_into_by, adaptive_merge_into_counted};
+use crate::merge::parallel::parallel_merge_into_recorded;
 use crate::merge::sequential::merge_views_into_by;
 use crate::merge::simd::natural_cmp;
-use crate::partition::{partition_points_by, segment_boundary};
+use crate::partition::partition_points_by;
 use crate::view::{RingBuffer, SortedView};
 
 /// Input staging strategy for the segmented merge.
@@ -251,11 +251,11 @@ where
         let tb = step - ta;
         // Step 2: parallel merge within the segment (Algorithm 1 on the
         // window's cross diagonals).
-        segment_merge_parallel(
+        parallel_merge_into_recorded(
             &wa[..ta],
             &wb[..tb],
             &mut out[oi..oi + step],
-            config,
+            config.threads,
             cmp,
             rec,
         );
@@ -324,80 +324,6 @@ where
         ring_b.consume(tb);
         oi += step;
     }
-}
-
-/// Parallel merge of one segment's sub-arrays (plain slices).
-fn segment_merge_parallel<T, F, R>(
-    sa: &[T],
-    sb: &[T],
-    out: &mut [T],
-    config: &SpmConfig,
-    cmp: &F,
-    rec: &R,
-) where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-    R: Recorder,
-{
-    let step = out.len();
-    let p = config.threads.min(step.max(1));
-    if p <= 1 {
-        executor::note_write_range(out);
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _merge = span(rec, 0, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(sa, sb, out, cmp, &hits)
-            };
-            adaptive::record_choice(rec, 0, kernel);
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, step as u64);
-        } else {
-            adaptive_merge_into_by(sa, sb, out, cmp);
-        }
-        return;
-    }
-    let base = SendPtr::new(out.as_mut_ptr());
-    executor::global().run_indexed_recorded(p, rec, &|k| {
-        let d_lo = segment_boundary(step, p, k);
-        let d_hi = segment_boundary(step, p, k + 1);
-        let (i_lo, i_hi) = if R::ACTIVE {
-            let _partition = span(rec, k, SpanKind::Partition);
-            let (i_lo, c_lo) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_lo, sa, sb, cmp)
-            };
-            let (i_hi, c_hi) = {
-                let _search = span(rec, k, SpanKind::DiagonalSearch);
-                co_rank_counted(d_hi, sa, sb, cmp)
-            };
-            let probes = (c_lo + c_hi) as u64;
-            rec.counter_add(k, CounterKind::DiagonalProbeSteps, probes);
-            rec.counter_add(k, CounterKind::Comparisons, probes);
-            (i_lo, i_hi)
-        } else {
-            (co_rank_by(d_lo, sa, sb, cmp), co_rank_by(d_hi, sa, sb, cmp))
-        };
-        let (fa, fb) = (&sa[i_lo..i_hi], &sb[d_lo - i_lo..d_hi - i_hi]);
-        executor::note_read_range(fa);
-        executor::note_read_range(fb);
-        // SAFETY: `d_lo..d_hi` ranges are disjoint across shares and lie
-        // within `out` (`d_hi <= step == out.len()`); the pool's end
-        // barrier orders the writes before this frame resumes.
-        let chunk = unsafe { base.slice_mut(d_lo, d_hi - d_lo) };
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            let kernel = {
-                let _merge = span(rec, k, SpanKind::SegmentMerge);
-                adaptive_merge_into_counted(fa, fb, chunk, cmp, &hits)
-            };
-            adaptive::record_choice(rec, k, kernel);
-            rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            rec.worker_items(k, (d_hi - d_lo) as u64);
-        } else {
-            adaptive_merge_into_by(fa, fb, chunk, cmp);
-        }
-    });
 }
 
 /// Parallel merge of one segment staged in ring-buffer views.

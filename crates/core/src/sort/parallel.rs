@@ -24,6 +24,7 @@ use mergepath_telemetry::{counted_cmp, span, CounterKind, NoRecorder, Recorder, 
 
 use crate::executor::{self, SendPtr};
 use crate::merge::batch::batch_merge_into_recorded;
+use crate::partition::segment_boundary;
 use crate::sort::sequential::merge_sort_with_scratch_by;
 
 /// Sorts `v` in parallel with `threads` workers using the natural order.
@@ -65,54 +66,11 @@ where
     F: Fn(&T, &T) -> Ordering + Sync,
     R: Recorder,
 {
-    assert!(threads > 0, "thread count must be at least 1");
+    // Phase 1: concurrent chunk sorts.
+    let Some(bounds) = sort_chunks(v, threads, cmp, rec) else {
+        return;
+    };
     let n = v.len();
-    if n <= 1 {
-        return;
-    }
-    if threads == 1 || n <= 2 * threads {
-        executor::note_write_range(v);
-        let mut scratch = vec![T::default(); n];
-        if R::ACTIVE {
-            let hits = Cell::new(0u64);
-            {
-                let _round = span(rec, 0, SpanKind::SortRound);
-                merge_sort_with_scratch_by(v, &mut scratch, &counted_cmp(cmp, &hits));
-            }
-            rec.counter_add(0, CounterKind::Comparisons, hits.get());
-            rec.worker_items(0, n as u64);
-        } else {
-            merge_sort_with_scratch_by(v, &mut scratch, cmp);
-        }
-        return;
-    }
-
-    // Phase 1: concurrent chunk sorts. Chunks follow the same ⌊k·n/p⌋
-    // boundaries as the merge partition, so sizes differ by at most one.
-    let bounds: Vec<usize> = (0..=threads)
-        .map(|k| crate::partition::segment_boundary(n, threads, k))
-        .collect();
-    {
-        let base = SendPtr::new(v.as_mut_ptr());
-        let bounds = &bounds;
-        executor::global().run_indexed_recorded(threads, rec, &|k| {
-            // SAFETY: chunk ranges `bounds[k]..bounds[k+1]` are disjoint
-            // across shares and tile `v` exactly; the pool's end barrier
-            // orders the writes before this frame resumes.
-            let chunk = unsafe { base.slice_mut(bounds[k], bounds[k + 1] - bounds[k]) };
-            let mut scratch = vec![T::default(); chunk.len()];
-            if R::ACTIVE {
-                let hits = Cell::new(0u64);
-                {
-                    let _round = span(rec, k, SpanKind::SortRound);
-                    merge_sort_with_scratch_by(chunk, &mut scratch, &counted_cmp(cmp, &hits));
-                }
-                rec.counter_add(k, CounterKind::Comparisons, hits.get());
-            } else {
-                merge_sort_with_scratch_by(chunk, &mut scratch, cmp);
-            }
-        });
-    }
 
     // Phase 2: rounds of pairwise parallel merges, ping-ponging between `v`
     // and a scratch buffer. Runs are tracked by their boundary offsets.
@@ -136,6 +94,75 @@ where
         executor::note_write_range(v);
         v.clone_from_slice(&scratch);
     }
+}
+
+/// Phase 1 of the §III sort, shared with [`crate::sort::kway`]: sorts
+/// `threads` chunks of `v` concurrently and returns their boundaries. The
+/// chunks follow the same `⌊k·n/p⌋` boundaries as the merge partition, so
+/// sizes differ by at most one.
+///
+/// Inputs too small to split (`threads == 1` or `n <= 2·threads`) are
+/// sorted whole, sequentially, and `None` says there is nothing left to
+/// merge.
+///
+/// # Panics
+/// Panics if `threads == 0`.
+pub(crate) fn sort_chunks<T, F, R>(
+    v: &mut [T],
+    threads: usize,
+    cmp: &F,
+    rec: &R,
+) -> Option<Vec<usize>>
+where
+    T: Clone + Default + Send + Sync,
+    F: Fn(&T, &T) -> Ordering + Sync,
+    R: Recorder,
+{
+    assert!(threads > 0, "thread count must be at least 1");
+    let n = v.len();
+    if n <= 1 {
+        return None;
+    }
+    if threads == 1 || n <= 2 * threads {
+        executor::note_write_range(v);
+        let mut scratch = vec![T::default(); n];
+        if R::ACTIVE {
+            let hits = Cell::new(0u64);
+            {
+                let _round = span(rec, 0, SpanKind::SortRound);
+                merge_sort_with_scratch_by(v, &mut scratch, &counted_cmp(cmp, &hits));
+            }
+            rec.counter_add(0, CounterKind::Comparisons, hits.get());
+            rec.worker_items(0, n as u64);
+        } else {
+            merge_sort_with_scratch_by(v, &mut scratch, cmp);
+        }
+        return None;
+    }
+
+    let bounds: Vec<usize> = (0..=threads)
+        .map(|k| segment_boundary(n, threads, k))
+        .collect();
+    let base = SendPtr::new(v.as_mut_ptr());
+    let cuts = &bounds;
+    executor::global().run_indexed_recorded(threads, rec, &|k| {
+        // SAFETY: chunk ranges `cuts[k]..cuts[k+1]` are disjoint across
+        // shares and tile `v` exactly; the pool's end barrier orders the
+        // writes before this frame resumes.
+        let chunk = unsafe { base.slice_mut(cuts[k], cuts[k + 1] - cuts[k]) };
+        let mut scratch = vec![T::default(); chunk.len()];
+        if R::ACTIVE {
+            let hits = Cell::new(0u64);
+            {
+                let _round = span(rec, k, SpanKind::SortRound);
+                merge_sort_with_scratch_by(chunk, &mut scratch, &counted_cmp(cmp, &hits));
+            }
+            rec.counter_add(k, CounterKind::Comparisons, hits.get());
+        } else {
+            merge_sort_with_scratch_by(chunk, &mut scratch, cmp);
+        }
+    });
+    Some(bounds)
 }
 
 /// Merges adjacent run pairs from `src` into `dst` with all `threads`

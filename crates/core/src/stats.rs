@@ -116,48 +116,6 @@ impl CountingCmp {
     }
 }
 
-/// Aggregated statistics of one parallel-merge invocation, reported by the
-/// instrumented entry points (`*_stats` variants).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Comparisons spent in the partition (diagonal binary search) phase,
-    /// per worker.
-    pub partition_comparisons: Vec<u32>,
-    /// Elements merged (path steps executed) per worker.
-    pub merged_elements: Vec<usize>,
-}
-
-impl MergeStats {
-    /// Total partition comparisons across workers.
-    pub fn total_partition_comparisons(&self) -> u64 {
-        self.partition_comparisons.iter().map(|&c| c as u64).sum()
-    }
-
-    /// The heaviest worker's element count (the parallel makespan, paper
-    /// Corollary 7: equisized segments ⇒ perfect balance).
-    pub fn max_merged(&self) -> usize {
-        self.merged_elements.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The lightest worker's element count.
-    pub fn min_merged(&self) -> usize {
-        self.merged_elements.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Load imbalance ratio `max / mean`; `1.0` is perfect balance.
-    pub fn imbalance(&self) -> f64 {
-        if self.merged_elements.is_empty() {
-            return 1.0;
-        }
-        let total: usize = self.merged_elements.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / self.merged_elements.len() as f64;
-        self.max_merged() as f64 / mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,31 +182,5 @@ mod tests {
     fn counter_shards_are_cache_line_padded() {
         assert!(core::mem::align_of::<CounterShard>() >= 128);
         assert!(core::mem::size_of::<CountingCmp>() >= COUNTER_SHARDS * 128);
-    }
-
-    #[test]
-    fn merge_stats_balance_metrics() {
-        let stats = MergeStats {
-            partition_comparisons: vec![3, 4, 5, 0],
-            merged_elements: vec![25, 25, 25, 25],
-        };
-        assert_eq!(stats.total_partition_comparisons(), 12);
-        assert_eq!(stats.max_merged(), 25);
-        assert_eq!(stats.min_merged(), 25);
-        assert!((stats.imbalance() - 1.0).abs() < 1e-12);
-
-        let skew = MergeStats {
-            partition_comparisons: vec![],
-            merged_elements: vec![10, 30],
-        };
-        assert!((skew.imbalance() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_stats_empty_is_balanced() {
-        let stats = MergeStats::default();
-        assert_eq!(stats.max_merged(), 0);
-        assert_eq!(stats.min_merged(), 0);
-        assert!((stats.imbalance() - 1.0).abs() < 1e-12);
     }
 }

@@ -100,7 +100,7 @@ pub enum CounterKind {
     /// performs zero comparator calls, so these segments contribute
     /// nothing to [`CounterKind::Comparisons`] by design.
     SegmentsSimd,
-    /// Segments routed to the co-rank stable block kernel (exact-balance
+    /// Segments routed to the co-rank stable block kernel (co-ranked
     /// block splits, ties broken A-before-B by construction).
     SegmentsCoRank,
     /// Requests the serving daemon completed successfully (response handed

@@ -42,7 +42,7 @@ fn usage() -> ExitCode {
     eprintln!("                   committed artifact when the history is empty); hard-fails");
     eprintln!("                   when any merge family's pinned co-rank items imbalance");
     eprintln!(
-        "                   exceeds {CO_RANK_IMBALANCE_CAP} (exact balance is deterministic)"
+        "                   exceeds {CO_RANK_IMBALANCE_CAP} (cut arithmetic is deterministic)"
     );
     eprintln!("  verify-serve     run `mp bench --smoke --serve` (4 pool threads) into");
     eprintln!("                   target/xtask/serve, schema-check BENCH_serve.json (all");
@@ -77,8 +77,8 @@ fn usage() -> ExitCode {
 const HISTORY_WINDOW: usize = 5;
 
 /// Hard ceiling on the pinned co-rank merge's items-based worker imbalance
-/// (`max_items · p / n`). The exact-balance cut schedule guarantees
-/// `1 + p/n` (≈ 1.00006 at smoke scale), so 1.005 leaves room for nothing
+/// (`max_items · p / n`). Algorithm 1's `⌊k·n/p⌋` cuts give every worker
+/// at most `⌈n/p⌉` items, which guarantees `1 + p/n` (≈ 1.00006 at smoke scale), so 1.005 leaves room for nothing
 /// but a broken schedule — and unlike the ns/element medians the number is
 /// pure cut arithmetic, deterministic across machines, hence a gate rather
 /// than a warning.
@@ -558,9 +558,9 @@ fn warn_on_regression(name: &str, doc_type: &str, fresh: &mergepath_telemetry::j
 }
 
 /// Every merge family's `imbalance_co_rank` (items-based, from the pinned
-/// co-rank traced run over exact-balance cuts) must sit under
+/// co-rank traced run over Algorithm 1's cuts) must sit under
 /// [`CO_RANK_IMBALANCE_CAP`]. The duplicate-heavy family is the one the
-/// co-rank kernel exists for, but the exact-balance argument is
+/// co-rank kernel exists for, but the `⌈n/p⌉` argument is
 /// input-oblivious, so all four are held to the same cap.
 fn check_co_rank_imbalance(merge: &mergepath_telemetry::json::Value) -> Result<(), String> {
     use mergepath_telemetry::json::Value;
@@ -583,7 +583,7 @@ fn check_co_rank_imbalance(merge: &mergepath_telemetry::json::Value) -> Result<(
         if imbalance > CO_RANK_IMBALANCE_CAP {
             return Err(format!(
                 "{family}: co-rank items imbalance {imbalance} exceeds the \
-                 {CO_RANK_IMBALANCE_CAP} exact-balance cap"
+                 {CO_RANK_IMBALANCE_CAP} balance cap"
             ));
         }
     }
@@ -626,7 +626,7 @@ fn verify_bench(opts: BuildOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // The exact-balance gate: deterministic, so a violation is a bug in the
+    // The co-rank balance gate: deterministic, so a violation is a bug in the
     // cut schedule, never noise.
     if let Err(e) = check_co_rank_imbalance(&fresh[0]) {
         eprintln!("verify-bench: FAILED: BENCH_merge.json: {e}");

@@ -3,12 +3,14 @@
 //! pipeline actually merges. Catches any accidental `Copy` assumption and
 //! any drop/clone miscounting under the parallel paths.
 
+use mergepath_suite::mergepath::merge::adaptive::{
+    with_dispatch_policy, DispatchPolicy, SegmentKernel,
+};
 use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
 use mergepath_suite::mergepath::merge::segmented::{
     segmented_parallel_merge_into_by, SpmConfig, Staging,
 };
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
-use mergepath_suite::mergepath::merge::stable::stable_parallel_merge_into_by;
 use mergepath_suite::mergepath::sort::parallel::parallel_merge_sort_by;
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -41,8 +43,10 @@ fn string_keyed_parallel_merge() {
         parallel_merge_into_by(&a, &b, &mut out, threads, &by_key);
         assert_eq!(out, expect, "threads={threads}");
         let mut out = vec![Row::default(); 5500];
-        stable_parallel_merge_into_by(&a, &b, &mut out, threads, &by_key);
-        assert_eq!(out, expect, "stable, threads={threads}");
+        with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
+            parallel_merge_into_by(&a, &b, &mut out, threads, &by_key)
+        });
+        assert_eq!(out, expect, "co-rank, threads={threads}");
     }
     // Segmented, both stagings (Clone + Default only).
     for staging in [Staging::Windowed, Staging::Cyclic] {
@@ -111,7 +115,6 @@ mod counted_drop {
     use mergepath_suite::mergepath::merge::segmented::{
         segmented_parallel_merge_into_by, SpmConfig,
     };
-    use mergepath_suite::mergepath::merge::stable::stable_parallel_merge_into_by;
     use mergepath_suite::mergepath::sort::cache_aware::{
         cache_aware_parallel_sort_by, CacheAwareConfig,
     };
@@ -183,10 +186,9 @@ mod counted_drop {
         v
     }
 
-    const KERNELS: [&str; 11] = [
+    const KERNELS: [&str; 10] = [
         "parallel",
         "co-rank",
-        "stable",
         "segmented",
         "batch",
         "inplace",
@@ -228,13 +230,6 @@ mod counted_drop {
                 with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
                     parallel_merge_into_by(&a, &b, &mut out, threads, cmp);
                 });
-            }
-            "stable" => {
-                // The exact-balance top-level entry: worker cuts come from
-                // `exact_boundary`, boundaries from the co-rank search.
-                let (a, b) = (track(&ka), track(&kb));
-                let mut out = vec![CountedDrop::default(); n];
-                stable_parallel_merge_into_by(&a, &b, &mut out, threads, cmp);
             }
             "segmented" => {
                 let (a, b) = (track(&ka), track(&kb));

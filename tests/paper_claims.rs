@@ -4,10 +4,11 @@
 
 use mergepath_suite::baselines::naive::{count_order_violations, naive_equal_split_merge};
 use mergepath_suite::mergepath::diagonal::co_rank_counted;
-use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_stats;
+use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_recorded;
 use mergepath_suite::mergepath::merge::segmented::{spm_blocks, SpmConfig};
 use mergepath_suite::mergepath::partition::{partition_segments, Segment};
 use mergepath_suite::mergepath::path::MergePath;
+use mergepath_suite::mergepath::telemetry::TimelineRecorder;
 use mergepath_suite::pram::kernels::measure_merge;
 use mergepath_suite::workloads::{merge_pair, MergeWorkload};
 
@@ -124,9 +125,13 @@ fn naive_counterexample_vs_merge_path() {
     assert!(count_order_violations(&naive) > 0);
 
     let mut out = vec![0u32; 20_000];
-    let stats = parallel_merge_into_stats(&a, &b, &mut out, 8, &|x, y| x.cmp(y));
+    let rec = TimelineRecorder::new();
+    parallel_merge_into_recorded(&a, &b, &mut out, 8, &|x, y| x.cmp(y), &rec);
     assert!(out.windows(2).all(|w| w[0] <= w[1]));
-    assert!(stats.imbalance() <= 1.0 + 1e-9);
+    // Corollary 7: eight equal shares of the 20 000 outputs.
+    let report = rec.finish().load_balance(20_000, 8);
+    assert!(report.thm14_exact, "{report:?}");
+    assert_eq!((report.max_items, report.min_items), (2500, 2500));
 }
 
 /// §VI configuration sanity: the paper's memory formula 4·|A|·|type| —

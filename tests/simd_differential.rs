@@ -157,7 +157,11 @@ fn keyed_pairs_never_dispatch_simd_segments() {
 
     let mut out = vec![(0u32, 0u32); a.len() + b.len()];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(&a, &b, &mut out, 4, &by_key, &rec);
+    // Hold the policy lock at the default, so a concurrently running test
+    // that forces a kernel cannot change what this run dispatches.
+    with_dispatch_policy(DispatchPolicy::Adaptive, || {
+        parallel_merge_into_recorded(&a, &b, &mut out, 4, &by_key, &rec)
+    });
     let telemetry = rec.finish();
     let total = |name: &str| -> u64 {
         telemetry
@@ -203,7 +207,10 @@ fn uniform_primitive_keys_dispatch_simd_exactly_when_enabled() {
     let (a, b) = (side(), side());
     let mut out = vec![0u32; a.len() + b.len()];
     let rec = TimelineRecorder::new();
-    parallel_merge_into_recorded(&a, &b, &mut out, 4, &cmp, &rec);
+    // Pinned at the default under the policy lock, as above.
+    with_dispatch_policy(DispatchPolicy::Adaptive, || {
+        parallel_merge_into_recorded(&a, &b, &mut out, 4, &cmp, &rec)
+    });
     let telemetry = rec.finish();
     let simd_segments: u64 = telemetry
         .counters

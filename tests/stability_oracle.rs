@@ -21,9 +21,12 @@ use mergepath_suite::mergepath::merge::adaptive::{
     with_dispatch_policy, DispatchPolicy, SegmentKernel,
 };
 use mergepath_suite::mergepath::merge::batch::batch_merge_into_by;
-use mergepath_suite::mergepath::merge::parallel::parallel_merge_into_by;
+use mergepath_suite::mergepath::merge::parallel::{
+    parallel_merge_into_by, parallel_merge_into_recorded,
+};
 use mergepath_suite::mergepath::merge::sequential::merge_into_by;
-use mergepath_suite::mergepath::merge::stable::{stable_parallel_merge_into_by, CO_RANK_BLOCK};
+use mergepath_suite::mergepath::merge::stable::CO_RANK_BLOCK;
+use mergepath_suite::mergepath::telemetry::TimelineRecorder;
 use mergepath_suite::workloads::prng::Prng;
 
 /// A keyed element: compared by `.0`; `.1` is the element's original index
@@ -152,22 +155,27 @@ fn every_policy_produces_the_stable_order_on_every_family() {
 }
 
 #[test]
-fn the_exact_balance_co_rank_merge_is_stable_on_every_family() {
-    // The top-level co-rank parallel entry cuts the output at the exactly
-    // balanced 1303.4312 boundaries instead of the ⌊k·n/p⌋ diagonals; its
-    // stability proof is block-split uniqueness, checked here byte-for-byte
-    // against the oracle under every family and thread count.
+fn the_co_rank_merge_is_stable_and_balanced_on_every_family() {
+    // Algorithm 1 with every segment pinned to the co-rank kernel: its
+    // stability proof is block-split uniqueness, checked here
+    // byte-for-byte against the oracle under every family and thread
+    // count, and the recorded run must meet Thm 14's ⌈n/p⌉ cap exactly.
     for (name, ka, kb) in families() {
         let (a, b) = tag(&ka, &kb);
         let n = a.len() + b.len();
         let mut oracle = vec![(0, 0); n];
         merge_into_by(&a, &b, &mut oracle, &cmp);
         for threads in THREADS {
-            let label = format!("{name}: stable_parallel, threads={threads}");
+            let label = format!("{name}: co-rank, threads={threads}");
             let mut out = vec![(0, 0); n];
-            stable_parallel_merge_into_by(&a, &b, &mut out, threads, &cmp);
+            let rec = TimelineRecorder::new();
+            with_dispatch_policy(DispatchPolicy::Fixed(SegmentKernel::CoRank), || {
+                parallel_merge_into_recorded(&a, &b, &mut out, threads, &cmp, &rec)
+            });
             assert_eq!(out, oracle, "{label}");
             assert_stable(&out, &label);
+            let report = rec.finish().load_balance(n as u64, threads);
+            assert!(report.thm14_exact, "{label}: {report:?}");
         }
     }
 }
